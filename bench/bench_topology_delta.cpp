@@ -232,7 +232,6 @@ void BM_AttachDetachCycle(benchmark::State& state) {
     const auto in = topo.attach_switch(leaf, cables);
     const auto out = topo.detach_switch(leaf);
     benchmark::DoNotOptimize(in.stats.lft_smps + out.stats.lft_smps);
-    b.vsf->journal().truncate_reconciled();
   }
 }
 BENCHMARK(BM_AttachDetachCycle)->Unit(benchmark::kMillisecond);

@@ -469,16 +469,16 @@ MigrationTxnReport CloudOrchestrator::migrate_txn(
       // copy; a dead destination cannot complete the hot-plug.
       enter(*txn, core::TxnState::kAttached);
       report.elapsed_s += timing_.attach_vf_s;
-      if (!hypervisor_attached(txn->dst_hypervisor)) {
+      if (!hypervisor_attached(txn->intent.dst_hypervisor)) {
         throw core::MigrationError(
             core::MigrationErrc::kDestinationDetached,
-            "hypervisor " + std::to_string(txn->dst_hypervisor) +
+            "hypervisor " + std::to_string(txn->intent.dst_hypervisor) +
                 " died before the VF attach");
       }
       fabric_.txn_commit(*txn);
       report.outcome = TxnOutcome::kCommitted;
-      report.dst_hypervisor = txn->dst_hypervisor;
-      report.replaced = txn->dst_hypervisor != requested_dst;
+      report.dst_hypervisor = txn->intent.dst_hypervisor;
+      report.replaced = txn->intent.dst_hypervisor != requested_dst;
       report.reconfig = txn->stats;
       report.error.clear();
       break;
@@ -541,7 +541,7 @@ MigrationTxnReport CloudOrchestrator::swap_txn(
       break;
     }
     opened_txn = true;
-    report.dst_hypervisor = txn->dst_hypervisor;
+    report.dst_hypervisor = txn->intent.dst_hypervisor;
     try {
       if (policy.on_step) policy.on_step(core::TxnState::kPrepared, *txn);
       // Both VFs detach and both memories pre-copy concurrently (the
@@ -576,8 +576,8 @@ MigrationTxnReport CloudOrchestrator::swap_txn(
       }
       enter(*txn, core::TxnState::kAttached);
       report.elapsed_s += timing_.attach_vf_s;
-      if (!hypervisor_attached(txn->dst_hypervisor) ||
-          !hypervisor_attached(txn->src_hypervisor)) {
+      if (!hypervisor_attached(txn->intent.dst_hypervisor) ||
+          !hypervisor_attached(txn->intent.src_hypervisor)) {
         throw core::MigrationError(
             core::MigrationErrc::kDestinationDetached,
             "a swap endpoint died before the VF attach");

@@ -44,22 +44,11 @@ enum class TxnState : std::uint8_t {
 struct MigrationTxn {
   std::uint64_t id = 0;  ///< journal record id
   TxnState state = TxnState::kPrepared;
-  VmHandle vm;
-  std::size_t src_hypervisor = 0;
-  std::size_t dst_hypervisor = 0;
-  std::size_t src_vf_index = 0;
-  std::size_t dst_vf_index = 0;
-  Lid vm_lid;
-  /// The second LID of the transaction: the destination VF's prepopulated
-  /// LID for a plain migration, or the peer VM's LID for a swap.
-  Lid swapped_lid;
-  Guid vguid;
-  /// Destination-swap pair (begin_swap): the transaction moves *two* live
-  /// VMs, trading their slots with one fused LFT delta set. src_* then
-  /// describes `vm`'s slot and dst_* the peer's.
-  bool is_swap = false;
-  VmHandle peer_vm;
-  Guid peer_vguid;
+  /// The identities the journal record holds. For a destination swap
+  /// (begin_swap, intent.swap_pair) the transaction moves *two* live VMs,
+  /// trading their slots with one fused LFT delta set: src_* then describes
+  /// the VM's slot and dst_* the peer's.
+  sm::MigrationIntent intent;
   MigrationOptions options;
   bool addresses_moved = false;
   bool intra_leaf = false;

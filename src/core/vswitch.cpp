@@ -274,41 +274,44 @@ MigrationTxn VSwitchFabric::begin_migration(VmHandle handle,
         "no free VF on hypervisor " + std::to_string(dst_hypervisor));
   }
 
+  sm::MigrationIntent intent = intent_for(vm, dst_hypervisor, *dst_vf_idx);
+  if (scheme_ == LidScheme::kPrepopulated) {
+    intent.swapped_lid = sm_->fabric().node(intent.dst_vf).lid();
+    IBVS_ENSURE(intent.swapped_lid.valid(), "destination VF lost its LID");
+  }
+  return open_txn(std::move(intent), options);
+}
+
+sm::MigrationIntent VSwitchFabric::intent_for(const Vm& vm,
+                                              std::size_t dst_hypervisor,
+                                              std::size_t dst_vf_index) const {
   const VirtualHca& src = hypervisors_[vm.hypervisor];
   const VirtualHca& dst = hypervisors_[dst_hypervisor];
-  MigrationTxn txn;
-  txn.vm = handle;
-  txn.src_hypervisor = vm.hypervisor;
-  txn.dst_hypervisor = dst_hypervisor;
-  txn.src_vf_index = vm.vf_index;
-  txn.dst_vf_index = *dst_vf_idx;
-  txn.vm_lid = vm.lid;
-  txn.vguid = vm.vguid;
-  txn.options = options;
-  txn.intra_leaf = src.leaf == dst.leaf;
-  if (scheme_ == LidScheme::kPrepopulated) {
-    txn.swapped_lid = sm_->fabric().node(dst.vfs[*dst_vf_idx]).lid();
-    IBVS_ENSURE(txn.swapped_lid.valid(), "destination VF lost its LID");
-  }
+  sm::MigrationIntent intent;
+  intent.vm_id = vm.id;
+  intent.vm_lid = vm.lid;
+  intent.vguid = vm.vguid;
+  intent.src_vf = src.vfs[vm.vf_index];
+  intent.dst_vf = dst.vfs[dst_vf_index];
+  intent.src_pf = src.pf;
+  intent.dst_pf = dst.pf;
+  intent.src_hypervisor = vm.hypervisor;
+  intent.dst_hypervisor = dst_hypervisor;
+  intent.src_vf_index = vm.vf_index;
+  intent.dst_vf_index = dst_vf_index;
+  return intent;
+}
 
+MigrationTxn VSwitchFabric::open_txn(sm::MigrationIntent intent,
+                                     const MigrationOptions& options) {
+  MigrationTxn txn;
+  txn.options = options;
+  txn.intra_leaf = hypervisors_[intent.src_hypervisor].leaf ==
+                   hypervisors_[intent.dst_hypervisor].leaf;
+  txn.intent = intent;
   // Open the write-ahead record: durable identities for the SM (a new
   // master replays by NodeId/Lid), orchestrator tags for reconciliation.
-  sm::MigrationRecord record;
-  record.vm_id = vm.id;
-  record.vm_lid = vm.lid;
-  record.swapped_lid = txn.swapped_lid;
-  record.vguid = vm.vguid;
-  record.src_vf = src.vfs[vm.vf_index];
-  record.dst_vf = dst.vfs[*dst_vf_idx];
-  record.src_pf = src.pf;
-  record.dst_pf = dst.pf;
-  record.src_vf_slot = static_cast<PortNum>(vm.vf_index);
-  record.dst_vf_slot = static_cast<PortNum>(*dst_vf_idx);
-  record.src_hypervisor = vm.hypervisor;
-  record.dst_hypervisor = dst_hypervisor;
-  record.src_vf_index = vm.vf_index;
-  record.dst_vf_index = *dst_vf_idx;
-  txn.id = journal_.begin(std::move(record));
+  txn.id = journal_.begin(std::move(intent));
   return txn;
 }
 
@@ -335,43 +338,12 @@ MigrationTxn VSwitchFabric::begin_swap(VmHandle vm_a, VmHandle vm_b,
                              std::to_string(a.hypervisor));
   }
 
-  const VirtualHca& src = hypervisors_[a.hypervisor];
-  const VirtualHca& dst = hypervisors_[b.hypervisor];
-  MigrationTxn txn;
-  txn.vm = vm_a;
-  txn.is_swap = true;
-  txn.peer_vm = vm_b;
-  txn.peer_vguid = b.vguid;
-  txn.src_hypervisor = a.hypervisor;
-  txn.dst_hypervisor = b.hypervisor;
-  txn.src_vf_index = a.vf_index;
-  txn.dst_vf_index = b.vf_index;
-  txn.vm_lid = a.lid;
-  txn.swapped_lid = b.lid;  // the peer's LID swaps back, both schemes
-  txn.vguid = a.vguid;
-  txn.options = options;
-  txn.intra_leaf = src.leaf == dst.leaf;
-
-  sm::MigrationRecord record;
-  record.vm_id = a.id;
-  record.vm_lid = a.lid;
-  record.swapped_lid = b.lid;
-  record.vguid = a.vguid;
-  record.swap_pair = true;
-  record.peer_vm_id = b.id;
-  record.peer_vguid = b.vguid;
-  record.src_vf = src.vfs[a.vf_index];
-  record.dst_vf = dst.vfs[b.vf_index];
-  record.src_pf = src.pf;
-  record.dst_pf = dst.pf;
-  record.src_vf_slot = static_cast<PortNum>(a.vf_index);
-  record.dst_vf_slot = static_cast<PortNum>(b.vf_index);
-  record.src_hypervisor = a.hypervisor;
-  record.dst_hypervisor = b.hypervisor;
-  record.src_vf_index = a.vf_index;
-  record.dst_vf_index = b.vf_index;
-  txn.id = journal_.begin(std::move(record));
-  return txn;
+  sm::MigrationIntent intent = intent_for(a, b.hypervisor, b.vf_index);
+  intent.swapped_lid = b.lid;  // the peer's LID swaps back, both schemes
+  intent.swap_pair = true;
+  intent.peer_vm_id = b.id;
+  intent.peer_vguid = b.vguid;
+  return open_txn(std::move(intent), options);
 }
 
 void VSwitchFabric::txn_move_addresses(MigrationTxn& txn) {
@@ -379,70 +351,56 @@ void VSwitchFabric::txn_move_addresses(MigrationTxn& txn) {
                "addresses move at most once, before a terminal state");
   Fabric& fabric = sm_->fabric();
   auto& transport = sm_->transport();
-  const VirtualHca& src = hypervisors_[txn.src_hypervisor];
-  const VirtualHca& dst = hypervisors_[txn.dst_hypervisor];
-  if (!fabric.physical_attachment(dst.pf)) {
+  const sm::MigrationIntent& m = txn.intent;
+  if (!fabric.physical_attachment(m.dst_pf)) {
     // Nothing sent yet; the caller rolls the (empty) transaction back.
     throw MigrationError(MigrationErrc::kDestinationDetached,
-                         "hypervisor " + std::to_string(txn.dst_hypervisor) +
+                         "hypervisor " + std::to_string(m.dst_hypervisor) +
                              " is physically detached");
   }
-  if (txn.is_swap && !fabric.physical_attachment(src.pf)) {
+  if (m.swap_pair && !fabric.physical_attachment(m.src_pf)) {
     // A swap programs *both* PFs; the source losing attachment is just as
     // fatal as the destination.
     throw MigrationError(MigrationErrc::kDestinationDetached,
-                         "hypervisor " + std::to_string(txn.src_hypervisor) +
+                         "hypervisor " + std::to_string(m.src_hypervisor) +
                              " is physically detached");
   }
-  const NodeId vf_src = src.vfs[txn.src_vf_index];
-  const NodeId vf_dst = dst.vfs[txn.dst_vf_index];
+  const auto src_slot = static_cast<PortNum>(m.src_vf_index);
+  const auto dst_slot = static_cast<PortNum>(m.dst_vf_index);
+  const SmpRouting via = txn.options.smp_routing;
 
   // Write-ahead: the journal learns the addresses are moving before the
   // first SMP leaves the SM.
-  journal_.record_addresses_moved(txn.id);
+  journal_.record_started(txn.id);
 
   // ---- Step (a): migrate the IB addresses (§V-C a). One SMP per
   // participating hypervisor for the LID, one per vGUID landing. ----
-  if (txn.is_swap) {
+  if (m.swap_pair) {
     // Both VFs stay populated: each side takes the peer's LID and vGUID.
     // This is why a swap needs no free VF anywhere.
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 txn.swapped_lid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(dst.pf,
-                                 static_cast<PortNum>(txn.dst_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
+    transport.send_vf_lid_assign(m.src_pf, src_slot, m.swapped_lid, via);
+    transport.send_vf_lid_assign(m.dst_pf, dst_slot, m.vm_lid, via);
     txn.stats.hypervisor_lid_smps = 2;
-    fabric.node(vf_src).alias_guid = txn.peer_vguid;
-    fabric.node(vf_dst).alias_guid = txn.vguid;
-    transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    transport.send_guid_info(src.pf, static_cast<PortNum>(txn.src_vf_index),
-                             txn.peer_vguid, txn.options.smp_routing);
+    fabric.node(m.src_vf).alias_guid = m.peer_vguid;
+    fabric.node(m.dst_vf).alias_guid = m.vguid;
+    transport.send_guid_info(m.dst_pf, dst_slot, m.vguid, via);
+    transport.send_guid_info(m.src_pf, src_slot, m.peer_vguid, via);
     txn.stats.guid_smps = 2;
   } else {
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 kInvalidLid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(dst.pf,
-                                 static_cast<PortNum>(txn.dst_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
+    transport.send_vf_lid_assign(m.src_pf, src_slot, kInvalidLid, via);
+    transport.send_vf_lid_assign(m.dst_pf, dst_slot, m.vm_lid, via);
     txn.stats.hypervisor_lid_smps = 2;
-    fabric.node(vf_src).alias_guid = kInvalidGuid;
-    fabric.node(vf_dst).alias_guid = txn.vguid;
-    transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                             txn.vguid, txn.options.smp_routing);
+    fabric.node(m.src_vf).alias_guid = kInvalidGuid;
+    fabric.node(m.dst_vf).alias_guid = m.vguid;
+    transport.send_guid_info(m.dst_pf, dst_slot, m.vguid, via);
     txn.stats.guid_smps = 1;
   }
 
-  if (txn.swapped_lid.valid()) {
-    // Swap the two LIDs' owners; the VM keeps vm_lid at the destination,
-    // the second LID (destination VF's or the peer VM's) moves to the
-    // vacated source VF.
-    sm_->lids().move(fabric, txn.vm_lid, vf_dst, 1);
-    sm_->lids().move(fabric, txn.swapped_lid, vf_src, 1);
-  } else {
-    sm_->lids().move(fabric, txn.vm_lid, vf_dst, 1);
+  // The VM keeps vm_lid at the destination; the second LID (destination
+  // VF's or the peer VM's), if any, moves to the vacated source VF.
+  sm_->lids().move(fabric, m.vm_lid, m.dst_vf, 1);
+  if (m.swapped_lid.valid()) {
+    sm_->lids().move(fabric, m.swapped_lid, m.src_vf, 1);
   }
   sm_->refresh_targets();
   txn.addresses_moved = true;
@@ -455,8 +413,8 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
                "move the addresses before applying LFTs");
   Fabric& fabric = sm_->fabric();
   auto& transport = sm_->transport();
-  const Lid vm_lid = txn.vm_lid;
-  const Lid swapped_lid = txn.swapped_lid;
+  const Lid vm_lid = txn.intent.vm_lid;
+  const Lid swapped_lid = txn.intent.swapped_lid;
 
   // ---- Step (b): update the LFTs (§V-C b). ----
   const auto& routing = sm_->routing_result();
@@ -478,7 +436,7 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
     swap_delta.old_entry.resize(s_count);
     swap_delta.new_entry.resize(s_count);
   }
-  const Lid dst_pf = pf_lid(txn.dst_hypervisor);
+  const Lid dst_pf = fabric.node(txn.intent.dst_pf).lid();
   for (routing::SwitchIdx s = 0; s < s_count; ++s) {
     const PortNum p_vm = routing.lfts[s].get(vm_lid);
     last_delta_.old_entry[s] = p_vm;
@@ -634,73 +592,37 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
 
 void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
   IBVS_REQUIRE(!txn.terminal(), "transaction already terminal");
-  Fabric& fabric = sm_->fabric();
   auto& transport = sm_->transport();
-  const auto& routing = sm_->routing_result();
+  const SmpRouting via = txn.options.smp_routing;
 
   // Inverse LFT deltas, newest first: undoing in reverse restores the
   // pre-transaction bytes exactly, drain writes included.
   if (!txn.applied.empty()) {
-    std::vector<routing::SwitchIdx> touched;
-    for (auto it = txn.applied.rbegin(); it != txn.applied.rend(); ++it) {
-      const routing::SwitchIdx s = routing.graph.dense(it->switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm_->update_master_entry(s, it->lid, it->old_port);
-      if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
-        touched.push_back(s);
-      }
-    }
+    const auto touched = sm::undo_deltas(*sm_, txn.applied);
     transport.begin_batch();
     for (routing::SwitchIdx s : touched) {
-      txn.rollback_smps += sm_->push_dirty_blocks(s, txn.options.smp_routing);
+      txn.rollback_smps += sm_->push_dirty_blocks(s, via);
     }
     txn.rollback_time_us += transport.end_batch();
   }
 
   // Re-attach the VF at the source: reverse of step (a).
   if (txn.addresses_moved) {
-    const VirtualHca& src = hypervisors_[txn.src_hypervisor];
-    const VirtualHca& dst = hypervisors_[txn.dst_hypervisor];
-    const NodeId vf_src = src.vfs[txn.src_vf_index];
-    const NodeId vf_dst = dst.vfs[txn.dst_vf_index];
-    sm_->lids().move(fabric, txn.vm_lid, vf_src, 1);
-    if (txn.swapped_lid.valid()) {
-      sm_->lids().move(fabric, txn.swapped_lid, vf_dst, 1);
-    }
-    fabric.node(vf_src).alias_guid = txn.vguid;
-    fabric.node(vf_dst).alias_guid =
-        txn.is_swap ? txn.peer_vguid : kInvalidGuid;
-    transport.begin_batch();
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(
-        dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-        txn.swapped_lid.valid() ? txn.swapped_lid : kInvalidLid,
-        txn.options.smp_routing);
-    transport.send_guid_info(src.pf, static_cast<PortNum>(txn.src_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    txn.rollback_smps += 3;
-    if (txn.is_swap) {
-      // The peer's vGUID moved too; restore it to the destination VF.
-      transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                               txn.peer_vguid, txn.options.smp_routing);
-      txn.rollback_smps += 1;
-    }
-    txn.rollback_time_us += transport.end_batch();
+    txn.rollback_smps += sm::restore_source_addresses(
+        *sm_, txn.intent, via, txn.rollback_time_us);
     sm_->refresh_targets();
     txn.addresses_moved = false;
   }
   sm_->bump_generation();
 
   journal_.roll_back(txn.id);
-  if (auto* record = journal_.find(txn.id)) record->reconciled = true;
+  journal_.find(txn.id)->reconciled = true;
   txn.state = TxnState::kRolledBack;
   auto& metrics = VSwitchMetrics::get();
   metrics.migrations_rolled_back.inc();
   metrics.rollback_smps.observe(static_cast<double>(txn.rollback_smps));
-  IBVS_INFO("vswitch") << "rolled back migration of vm " << txn.vm.id
-                       << " to hyp " << txn.dst_hypervisor << ": "
+  IBVS_INFO("vswitch") << "rolled back migration of vm " << txn.intent.vm_id
+                       << " to hyp " << txn.intent.dst_hypervisor << ": "
                        << txn.rollback_smps << " SMPs to undo";
 }
 
@@ -708,22 +630,22 @@ void VSwitchFabric::txn_commit(MigrationTxn& txn) {
   IBVS_REQUIRE(txn.state == TxnState::kReconfiguring ||
                    txn.state == TxnState::kAttached,
                "commit follows reconfiguration");
-  Vm& vm = vm_mutable(txn.vm);
-  if (txn.is_swap) {
+  const sm::MigrationIntent& m = txn.intent;
+  Vm& vm = vm_mutable(VmHandle{m.vm_id});
+  if (m.swap_pair) {
     // Both slots stay occupied — the VMs trade places.
-    Vm& peer = vm_mutable(txn.peer_vm);
-    mark_slot_used(txn.src_hypervisor, txn.src_vf_index, peer.id);
-    mark_slot_used(txn.dst_hypervisor, txn.dst_vf_index, vm.id);
-    peer.hypervisor = txn.src_hypervisor;
-    peer.vf_index = txn.src_vf_index;
+    Vm& peer = vm_mutable(VmHandle{m.peer_vm_id});
+    mark_slot_used(m.src_hypervisor, m.src_vf_index, peer.id);
+    peer.hypervisor = m.src_hypervisor;
+    peer.vf_index = m.src_vf_index;
   } else {
-    mark_slot_free(txn.src_hypervisor, txn.src_vf_index);
-    mark_slot_used(txn.dst_hypervisor, txn.dst_vf_index, vm.id);
+    mark_slot_free(m.src_hypervisor, m.src_vf_index);
   }
-  vm.hypervisor = txn.dst_hypervisor;
-  vm.vf_index = txn.dst_vf_index;
+  mark_slot_used(m.dst_hypervisor, m.dst_vf_index, vm.id);
+  vm.hypervisor = m.dst_hypervisor;
+  vm.vf_index = m.dst_vf_index;
   journal_.commit(txn.id);
-  if (auto* record = journal_.find(txn.id)) record->reconciled = true;
+  journal_.find(txn.id)->reconciled = true;
   txn.state = TxnState::kCommitted;
   VSwitchMetrics::get().migrations_committed.inc();
 }
@@ -731,41 +653,45 @@ void VSwitchFabric::txn_commit(MigrationTxn& txn) {
 VSwitchFabric::ReconcileReport VSwitchFabric::reconcile_with_journal() {
   ReconcileReport report;
   auto& metrics = VSwitchMetrics::get();
-  for (const sm::MigrationRecord& r : journal_.records()) {
-    if (r.reconciled || r.state == sm::RecordState::kInFlight) continue;
-    const auto it = vms_.find(r.vm_id);
+  for (const sm::ReconfigRecord& record : journal_.records()) {
+    if (record.reconciled || record.state == sm::RecordState::kInFlight) {
+      continue;
+    }
+    const auto* m = std::get_if<sm::MigrationIntent>(&record.intent);
+    if (m == nullptr) continue;  // topology: recovery reconciles those
+    const auto it = vms_.find(m->vm_id);
     if (it != vms_.end()) {
       Vm& vm = it->second;
-      if (r.state == sm::RecordState::kCommitted &&
-          (vm.hypervisor != r.dst_hypervisor ||
-           vm.vf_index != r.dst_vf_index)) {
-        if (r.swap_pair) {
-          const auto peer_it = vms_.find(r.peer_vm_id);
+      if (record.state == sm::RecordState::kCommitted &&
+          (vm.hypervisor != m->dst_hypervisor ||
+           vm.vf_index != m->dst_vf_index)) {
+        if (m->swap_pair) {
+          const auto peer_it = vms_.find(m->peer_vm_id);
           if (peer_it != vms_.end()) {
             Vm& peer = peer_it->second;
-            mark_slot_used(r.src_hypervisor, r.src_vf_index, peer.id);
-            peer.hypervisor = r.src_hypervisor;
-            peer.vf_index = r.src_vf_index;
+            mark_slot_used(m->src_hypervisor, m->src_vf_index, peer.id);
+            peer.hypervisor = m->src_hypervisor;
+            peer.vf_index = m->src_vf_index;
           }
         } else {
-          mark_slot_free(r.src_hypervisor, r.src_vf_index);
+          mark_slot_free(m->src_hypervisor, m->src_vf_index);
         }
-        mark_slot_used(r.dst_hypervisor, r.dst_vf_index, vm.id);
-        vm.hypervisor = r.dst_hypervisor;
-        vm.vf_index = r.dst_vf_index;
+        mark_slot_used(m->dst_hypervisor, m->dst_vf_index, vm.id);
+        vm.hypervisor = m->dst_hypervisor;
+        vm.vf_index = m->dst_vf_index;
       }
       // A rolled-back record needs no fixup: the transaction path only
       // advances the slot bookkeeping at commit, so the VM still sits at
       // the source.
     }
-    if (r.state == sm::RecordState::kCommitted) {
+    if (record.state == sm::RecordState::kCommitted) {
       ++report.committed;
       metrics.migrations_committed.inc();
     } else {
       ++report.rolled_back;
       metrics.migrations_rolled_back.inc();
     }
-    journal_.find(r.id)->reconciled = true;
+    journal_.find(record.id)->reconciled = true;
   }
   return report;
 }
@@ -800,10 +726,10 @@ MigrationReport VSwitchFabric::migrate_vm(VmHandle handle,
 
   MigrationReport report;
   report.vm = handle.id;
-  report.src_hypervisor = txn.src_hypervisor;
-  report.dst_hypervisor = txn.dst_hypervisor;
-  report.vm_lid = txn.vm_lid;
-  report.swapped_lid = txn.swapped_lid;
+  report.src_hypervisor = txn.intent.src_hypervisor;
+  report.dst_hypervisor = txn.intent.dst_hypervisor;
+  report.vm_lid = txn.intent.vm_lid;
+  report.swapped_lid = txn.intent.swapped_lid;
   report.intra_leaf = txn.intra_leaf;
   report.reconfig = txn.stats;
   report.minimal_set_size = txn.minimal_set_size;
@@ -837,10 +763,10 @@ MigrationReport VSwitchFabric::swap_vms(VmHandle vm_a, VmHandle vm_b,
 
   MigrationReport report;
   report.vm = vm_a.id;
-  report.src_hypervisor = txn.src_hypervisor;
-  report.dst_hypervisor = txn.dst_hypervisor;
-  report.vm_lid = txn.vm_lid;
-  report.swapped_lid = txn.swapped_lid;
+  report.src_hypervisor = txn.intent.src_hypervisor;
+  report.dst_hypervisor = txn.intent.dst_hypervisor;
+  report.vm_lid = txn.intent.vm_lid;
+  report.swapped_lid = txn.intent.swapped_lid;
   report.intra_leaf = txn.intra_leaf;
   report.reconfig = txn.stats;
   report.minimal_set_size = txn.minimal_set_size;

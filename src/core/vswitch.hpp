@@ -271,6 +271,14 @@ class VSwitchFabric {
 
   Lid pf_lid(std::size_t hypervisor) const;
   Vm& vm_mutable(VmHandle handle);
+  /// The journal identities of moving `vm` into (dst_hypervisor,
+  /// dst_vf_index); swap fields are left for begin_swap to fill.
+  [[nodiscard]] sm::MigrationIntent intent_for(const Vm& vm,
+                                               std::size_t dst_hypervisor,
+                                               std::size_t dst_vf_index) const;
+  /// Opens the write-ahead journal record and the transaction holding it.
+  MigrationTxn open_txn(sm::MigrationIntent intent,
+                        const MigrationOptions& options);
   /// Keep slots_ and the per-hypervisor free-lists in lockstep.
   void mark_slot_used(std::size_t hypervisor, std::size_t vf,
                       std::uint32_t vm_id);

@@ -668,7 +668,7 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
           policy.on_step = [&](core::TxnState state,
                                const core::MigrationTxn& txn) {
             if (!killed && state == kill_at &&
-                txn.dst_hypervisor == pick->dst) {
+                txn.intent.dst_hypervisor == pick->dst) {
               injector.kill_node(dst_vswitch);
               killed = true;
             }

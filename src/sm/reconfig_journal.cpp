@@ -1,5 +1,8 @@
 #include "sm/reconfig_journal.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "routing/graph.hpp"
 #include "sm/topology_txn.hpp"
 #include "telemetry/metrics.hpp"
@@ -45,16 +48,14 @@ struct JournalMetrics {
 /// deltas are valid for the fully-mutated fabric), so the common recovery
 /// path stays free of route recomputation.
 void repair_rolled_back_routes(
-    SubnetManager& sm, const std::vector<const TopologyRecord*>& rolled) {
+    SubnetManager& sm, const std::vector<const TopologyIntent*>& rolled) {
   if (rolled.empty()) return;
   Fabric& fabric = sm.fabric();
   const auto& result = sm.routing_result();
   const auto& g = result.graph;
   const auto hops = routing::switch_hop_matrix(g);
-  for (const TopologyRecord* r : rolled) {
-    const bool removed_cables =
-        r->op == TopologyOp::kAttachSwitch || r->op == TopologyOp::kAddLink;
-    if (removed_cables) {
+  for (const TopologyIntent* r : rolled) {
+    if (r->adds_cables()) {
       // Any column still egressing into a now-unplugged port is recomputed
       // wholesale; untouched columns never routed through the cables.
       for (const Lid lid : sm.lids().assigned_lids()) {
@@ -146,154 +147,238 @@ const char* to_string(TopologyOp op) {
   return "?";
 }
 
-std::uint64_t ReconfigJournal::begin(MigrationRecord record) {
-  IBVS_REQUIRE(record.vm_lid.valid(), "journal record needs the VM LID");
-  IBVS_REQUIRE(record.src_vf != kInvalidNode && record.dst_vf != kInvalidNode,
+std::vector<routing::SwitchIdx> undo_deltas(
+    SubnetManager& sm, const std::vector<LftDelta>& deltas) {
+  const auto& graph = sm.routing_result().graph;
+  std::vector<routing::SwitchIdx> touched;
+  std::vector<bool> seen(graph.num_switches(), false);
+  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
+    const routing::SwitchIdx s = graph.dense(it->switch_node);
+    if (s == routing::kNoSwitch) continue;
+    sm.update_master_entry(s, it->lid, it->old_port);
+    if (!seen[s]) {
+      seen[s] = true;
+      touched.push_back(s);
+    }
+  }
+  return touched;
+}
+
+std::uint64_t restore_source_addresses(SubnetManager& sm,
+                                       const MigrationIntent& m,
+                                       SmpRouting routing, double& time_us) {
+  Fabric& fabric = sm.fabric();
+  auto& transport = sm.transport();
+  sm.lids().move(fabric, m.vm_lid, m.src_vf, 1);
+  if (m.swapped_lid.valid()) sm.lids().move(fabric, m.swapped_lid, m.dst_vf, 1);
+  fabric.node(m.src_vf).alias_guid = m.vguid;
+  fabric.node(m.dst_vf).alias_guid = m.swap_pair ? m.peer_vguid : kInvalidGuid;
+  const auto src_slot = static_cast<PortNum>(m.src_vf_index);
+  const auto dst_slot = static_cast<PortNum>(m.dst_vf_index);
+  transport.begin_batch();
+  transport.send_vf_lid_assign(m.src_pf, src_slot, m.vm_lid, routing);
+  transport.send_vf_lid_assign(
+      m.dst_pf, dst_slot,
+      m.swapped_lid.valid() ? m.swapped_lid : kInvalidLid, routing);
+  transport.send_guid_info(m.src_pf, src_slot, m.vguid, routing);
+  std::uint64_t smps = 3;
+  if (m.swap_pair) {
+    // The peer's vGUID moved too; restore it to the destination VF.
+    transport.send_guid_info(m.dst_pf, dst_slot, m.peer_vguid, routing);
+    ++smps;
+  }
+  time_us += transport.end_batch();
+  return smps;
+}
+
+namespace {
+
+/// Replays `deltas` onto the master tables oldest-first (old -> new); the
+/// forward counterpart of undo_deltas.
+void replay_deltas(SubnetManager& sm, const std::vector<LftDelta>& deltas) {
+  const auto& graph = sm.routing_result().graph;
+  for (const LftDelta& d : deltas) {
+    const routing::SwitchIdx s = graph.dense(d.switch_node);
+    if (s == routing::kNoSwitch) continue;
+    sm.update_master_entry(s, d.lid, d.new_port);
+  }
+}
+
+void validate(const MigrationIntent& m) {
+  IBVS_REQUIRE(m.vm_lid.valid(), "journal record needs the VM LID");
+  IBVS_REQUIRE(m.src_vf != kInvalidNode && m.dst_vf != kInvalidNode,
                "journal record needs both VF nodes");
-  record.id = next_id_++;
-  record.state = RecordState::kInFlight;
-  record.reconciled = false;
-  JournalMetrics::get().begun.inc();
-  records_.push_back(std::move(record));
-  return records_.back().id;
 }
 
-MigrationRecord* ReconfigJournal::find(std::uint64_t id) {
-  for (MigrationRecord& r : records_) {
+void validate(const TopologyIntent& t) {
+  const bool switch_op = t.op == TopologyOp::kAttachSwitch ||
+                         t.op == TopologyOp::kDetachSwitch;
+  IBVS_REQUIRE(!switch_op || t.subject != kInvalidNode,
+               "switch delta needs its subject node");
+  IBVS_REQUIRE(!t.cables.empty(), "topology record needs its cable set");
+}
+
+/// The node a record must still be able to program to roll forward:
+/// kInvalidNode when nothing beyond the master tables is needed.
+NodeId must_reach(const MigrationIntent& m) { return m.dst_pf; }
+NodeId must_reach(const TopologyIntent& t) {
+  // A switch that died mid-attach is rolled back out of the fabric, never
+  // committed half-routed.
+  return t.op == TopologyOp::kAttachSwitch ? t.subject : kInvalidNode;
+}
+
+/// Assigns a switch's management LID and announces it. Directed-route
+/// PortInfo: the LID may not be installed anywhere yet.
+void assign_switch_lid(SubnetManager& sm, NodeId sw, Lid lid,
+                       RecoveryReport& report) {
+  auto& transport = sm.transport();
+  sm.lids().assign(sm.fabric(), sw, 0, lid);
+  transport.begin_batch();
+  transport.send_port_info_set(sw, 0, SmpRouting::kDirected);
+  report.address_smps += 1;
+  report.address_time_us += transport.end_batch();
+}
+
+/// Address effects of resolving a migration record; the master tables are
+/// replayed by the caller. Forward finishes the LID/vGUID bookkeeping at
+/// the destination (its SMPs went out before the crash); back restores and
+/// re-announces the addresses at the source if they ever left it.
+void migration_effects(SubnetManager& sm, const MigrationIntent& m,
+                       bool forward, bool started, RecoveryReport& report,
+                       SmpRouting routing) {
+  if (!forward) {
+    if (started) {
+      report.address_smps += restore_source_addresses(
+          sm, m, routing, report.address_time_us);
+    }
+    return;
+  }
+  Fabric& fabric = sm.fabric();
+  sm.lids().move(fabric, m.vm_lid, m.dst_vf, 1);
+  if (m.swapped_lid.valid()) sm.lids().move(fabric, m.swapped_lid, m.src_vf, 1);
+  fabric.node(m.dst_vf).alias_guid = m.vguid;
+  fabric.node(m.src_vf).alias_guid = m.swap_pair ? m.peer_vguid : kInvalidGuid;
+}
+
+/// Cabling and subject-LID effects of resolving a topology record: forward
+/// finishes the subject's addressing, back un-plugs / re-plugs the recorded
+/// cables and restores the subject's LID.
+void topology_effects(SubnetManager& sm, const TopologyIntent& t,
+                      bool forward, RecoveryReport& report) {
+  Fabric& fabric = sm.fabric();
+  const bool switch_op = t.op == TopologyOp::kAttachSwitch ||
+                         t.op == TopologyOp::kDetachSwitch;
+  const bool lid_held = switch_op && t.subject_lid.valid() &&
+                        sm.lids().assigned(t.subject_lid) &&
+                        sm.lids().owner(t.subject_lid).node == t.subject;
+  const bool lid_free = switch_op && t.subject_lid.valid() &&
+                        !sm.lids().assigned(t.subject_lid);
+  // The subject's LID belongs to it after a committed attach or a
+  // rolled-back detach, and nowhere after the other two outcomes.
+  const bool subject_keeps_lid =
+      forward == (t.op == TopologyOp::kAttachSwitch);
+  if (!forward) {
+    // Un-plug whatever an attach/add managed to cable before dying, or
+    // re-plug exactly what a detach/remove severed; tolerate cables the
+    // mutation never reached or that something else (a chaos cut) took
+    // down meanwhile.
+    for (const CableSpec& c : t.cables) {
+      if (t.adds_cables()) {
+        const auto peer = fabric.peer(c.a, c.port_a);
+        if (peer && peer->first == c.b && peer->second == c.port_b) {
+          fabric.disconnect(c.a, c.port_a);
+        }
+      } else if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
+        fabric.connect(c.a, c.port_a, c.b, c.port_b);
+      }
+    }
+    sm.transport().invalidate_topology();
+  }
+  if (subject_keeps_lid && lid_free) {
+    // A committed attach whose crash hit between the mutation and the LID
+    // assignment, or a rolled-back detach: (re)address the subject.
+    assign_switch_lid(sm, t.subject, t.subject_lid, report);
+  } else if (!subject_keeps_lid && lid_held) {
+    sm.lids().release(fabric, t.subject_lid);
+  }
+}
+
+std::string describe(const MigrationIntent& m) {
+  return "vm " + std::to_string(m.vm_id);
+}
+std::string describe(const TopologyIntent& t) { return to_string(t.op); }
+
+}  // namespace
+
+std::uint64_t ReconfigJournal::begin(ReconfigIntent intent) {
+  std::visit([](const auto& i) { validate(i); }, intent);
+  auto& metrics = JournalMetrics::get();
+  (std::holds_alternative<MigrationIntent>(intent) ? metrics.begun
+                                                   : metrics.topology_begun)
+      .inc();
+  truncate_reconciled();
+  ReconfigRecord& r = records_.emplace_back();
+  r.id = next_id_++;
+  r.intent = std::move(intent);
+  return r.id;
+}
+
+ReconfigRecord* ReconfigJournal::find(std::uint64_t id) {
+  for (ReconfigRecord& r : records_) {
     if (r.id == id) return &r;
   }
   return nullptr;
 }
 
-const MigrationRecord* ReconfigJournal::find(std::uint64_t id) const {
-  for (const MigrationRecord& r : records_) {
+const ReconfigRecord* ReconfigJournal::find(std::uint64_t id) const {
+  for (const ReconfigRecord& r : records_) {
     if (r.id == id) return &r;
   }
   return nullptr;
 }
 
-void ReconfigJournal::record_addresses_moved(std::uint64_t id) {
-  MigrationRecord* r = find(id);
+ReconfigRecord& ReconfigJournal::in_flight_record(std::uint64_t id) {
+  ReconfigRecord* r = find(id);
   IBVS_REQUIRE(r != nullptr, "unknown journal record");
   IBVS_REQUIRE(r->state == RecordState::kInFlight,
                "record is no longer in flight");
-  r->addresses_moved = true;
+  return *r;
+}
+
+void ReconfigJournal::record_started(std::uint64_t id) {
+  in_flight_record(id).started = true;
 }
 
 void ReconfigJournal::record_deltas(std::uint64_t id,
                                     std::vector<LftDelta> deltas) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->deltas = std::move(deltas);
-}
-
-void ReconfigJournal::commit(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kCommitted;
-}
-
-void ReconfigJournal::roll_back(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kRolledBack;
-}
-
-std::uint64_t ReconfigJournal::begin_topology(TopologyRecord record) {
-  const bool switch_op = record.op == TopologyOp::kAttachSwitch ||
-                         record.op == TopologyOp::kDetachSwitch;
-  IBVS_REQUIRE(!switch_op || record.subject != kInvalidNode,
-               "switch delta needs its subject node");
-  IBVS_REQUIRE(!record.cables.empty(), "topology record needs its cable set");
-  record.id = next_id_++;
-  record.state = RecordState::kInFlight;
-  record.reconciled = false;
-  JournalMetrics::get().topology_begun.inc();
-  topology_records_.push_back(std::move(record));
-  return topology_records_.back().id;
-}
-
-TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) {
-  for (TopologyRecord& r : topology_records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
-}
-
-const TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) const {
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
-}
-
-void ReconfigJournal::record_topology_mutated(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->mutated = true;
+  in_flight_record(id).deltas = std::move(deltas);
 }
 
 void ReconfigJournal::record_topology_lid(std::uint64_t id, Lid lid) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->subject_lid = lid;
+  auto* t = std::get_if<TopologyIntent>(&in_flight_record(id).intent);
+  IBVS_REQUIRE(t != nullptr, "not a topology record");
+  t->subject_lid = lid;
 }
 
-void ReconfigJournal::record_topology_deltas(std::uint64_t id,
-                                             std::vector<LftDelta> deltas) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->deltas = std::move(deltas);
+void ReconfigJournal::commit(std::uint64_t id) {
+  in_flight_record(id).state = RecordState::kCommitted;
 }
 
-void ReconfigJournal::commit_topology(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kCommitted;
-}
-
-void ReconfigJournal::roll_back_topology(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kRolledBack;
+void ReconfigJournal::roll_back(std::uint64_t id) {
+  in_flight_record(id).state = RecordState::kRolledBack;
 }
 
 std::size_t ReconfigJournal::in_flight() const {
-  std::size_t n = 0;
-  for (const MigrationRecord& r : records_) {
-    if (r.state == RecordState::kInFlight) ++n;
-  }
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.state == RecordState::kInFlight) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
+        return r.state == RecordState::kInFlight;
+      }));
 }
 
 std::size_t ReconfigJournal::truncate_reconciled() {
-  const std::size_t before = records_.size() + topology_records_.size();
-  std::erase_if(records_, [](const MigrationRecord& r) {
+  return std::erase_if(records_, [](const ReconfigRecord& r) {
     return r.state != RecordState::kInFlight && r.reconciled;
   });
-  std::erase_if(topology_records_, [](const TopologyRecord& r) {
-    return r.state != RecordState::kInFlight && r.reconciled;
-  });
-  return before - records_.size() - topology_records_.size();
 }
 
 RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
@@ -308,103 +393,55 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   auto span = telemetry::Tracer::global().span(
       "journal.recover",
       {{"in_flight", std::to_string(report.in_flight)}});
-  Fabric& fabric = sm.fabric();
   auto& transport = sm.transport();
 
   // An in-flight topology delta means the cabling the recovering SM swept
   // may already be mid-mutation: adopt the current structure first so dense
   // lookups, reachability and redistribution all see the fabric as cabled
-  // right now. Append-stable dense indices make this safe for the
-  // migration records below too.
-  bool topology_in_flight = false;
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.state == RecordState::kInFlight) topology_in_flight = true;
-  }
+  // right now. Append-stable dense indices make this safe for migration
+  // records too.
+  const bool topology_in_flight =
+      std::any_of(records_.begin(), records_.end(), [](const auto& r) {
+        return r.state == RecordState::kInFlight &&
+               std::holds_alternative<TopologyIntent>(r.intent);
+      });
   if (topology_in_flight) sm.adopt_topology_change();
-  const auto& graph = sm.routing_result().graph;
 
-  for (MigrationRecord& r : records_) {
+  std::vector<const TopologyIntent*> rolled_back_topology;
+  for (ReconfigRecord& r : records_) {
     if (r.state != RecordState::kInFlight) continue;
-    // Roll forward only when the write-ahead marks prove the migration got
-    // past the address move AND the destination can still be programmed;
-    // everything else is undone. Both branches are pure master-table and
-    // LidMap fixups — redistribution below turns them into SMPs.
-    const bool dst_reachable = transport.hops_to(r.dst_pf).has_value();
-    const bool forward =
-        r.addresses_moved && !r.deltas.empty() && dst_reachable;
+    // Roll forward only when the write-ahead marks prove the change got
+    // past its first fabric-visible step with the full delta set recorded,
+    // AND the node it must reach can still be programmed; everything else
+    // is undone. The table replay is a pure master-table fixup —
+    // redistribution below turns it into SMPs.
+    const NodeId reach =
+        std::visit([](const auto& i) { return must_reach(i); }, r.intent);
+    const bool forward = r.started && !r.deltas.empty() &&
+                         (reach == kInvalidNode ||
+                          transport.hops_to(reach).has_value());
     if (forward) {
-      if (sm.lids().owner(r.vm_lid).node != r.dst_vf) {
-        sm.lids().move(fabric, r.vm_lid, r.dst_vf, 1);
-      }
-      if (r.swapped_lid.valid() &&
-          sm.lids().owner(r.swapped_lid).node != r.src_vf) {
-        sm.lids().move(fabric, r.swapped_lid, r.src_vf, 1);
-      }
-      fabric.node(r.dst_vf).alias_guid = r.vguid;
-      fabric.node(r.src_vf).alias_guid =
-          r.swap_pair ? r.peer_vguid : kInvalidGuid;
-      for (const LftDelta& d : r.deltas) {
-        const routing::SwitchIdx s = graph.dense(d.switch_node);
-        if (s == routing::kNoSwitch) continue;
-        sm.update_master_entry(s, d.lid, d.new_port);
-      }
-      r.state = RecordState::kCommitted;
-      ++report.rolled_forward;
-      JournalMetrics::get().replays_forward.inc();
-      IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
-                           << ") rolled forward: " << r.deltas.size()
-                           << " deltas replayed";
+      replay_deltas(sm, r.deltas);
     } else {
-      for (auto it = r.deltas.rbegin(); it != r.deltas.rend(); ++it) {
-        const routing::SwitchIdx s = graph.dense(it->switch_node);
-        if (s == routing::kNoSwitch) continue;
-        sm.update_master_entry(s, it->lid, it->old_port);
-      }
-      if (r.addresses_moved) {
-        if (sm.lids().owner(r.vm_lid).node != r.src_vf) {
-          sm.lids().move(fabric, r.vm_lid, r.src_vf, 1);
-        }
-        if (r.swapped_lid.valid() &&
-            sm.lids().owner(r.swapped_lid).node != r.dst_vf) {
-          sm.lids().move(fabric, r.swapped_lid, r.dst_vf, 1);
-        }
-        fabric.node(r.src_vf).alias_guid = r.vguid;
-        fabric.node(r.dst_vf).alias_guid =
-            r.swap_pair ? r.peer_vguid : kInvalidGuid;
-        // Re-attach the VF addresses at the source: the reverse of §V-C
-        // step (a), priced on the batch clock like the forward path. A
-        // swap pair also restores the peer's vGUID at the destination.
-        transport.begin_batch();
-        transport.send_vf_lid_assign(r.src_pf, r.src_vf_slot, r.vm_lid,
-                                     routing);
-        transport.send_vf_lid_assign(
-            r.dst_pf, r.dst_vf_slot,
-            r.swapped_lid.valid() ? r.swapped_lid : kInvalidLid, routing);
-        transport.send_guid_info(r.src_pf, r.src_vf_slot, r.vguid, routing);
-        report.address_smps += 3;
-        if (r.swap_pair) {
-          transport.send_guid_info(r.dst_pf, r.dst_vf_slot, r.peer_vguid,
-                                   routing);
-          report.address_smps += 1;
-        }
-        report.address_time_us += transport.end_batch();
-      }
-      r.state = RecordState::kRolledBack;
-      ++report.rolled_back;
-      JournalMetrics::get().replays_back.inc();
-      IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
-                           << ") rolled back: " << r.deltas.size()
-                           << " inverse deltas applied";
+      undo_deltas(sm, r.deltas);
     }
-  }
-
-  std::vector<const TopologyRecord*> rolled_back_topology;
-  for (TopologyRecord& r : topology_records_) {
-    if (r.state != RecordState::kInFlight) continue;
-    recover_topology(sm, r, report, routing);
-    if (r.state == RecordState::kRolledBack) {
-      rolled_back_topology.push_back(&r);
+    if (const auto* m = std::get_if<MigrationIntent>(&r.intent)) {
+      migration_effects(sm, *m, forward, r.started, report, routing);
+    } else {
+      const auto& t = std::get<TopologyIntent>(r.intent);
+      topology_effects(sm, t, forward, report);
+      r.reconciled = true;  // recovery is the only bookkeeper for these
+      if (!forward) rolled_back_topology.push_back(&t);
     }
+    r.state = forward ? RecordState::kCommitted : RecordState::kRolledBack;
+    auto& metrics = JournalMetrics::get();
+    (forward ? metrics.replays_forward : metrics.replays_back).inc();
+    ++(forward ? report.rolled_forward : report.rolled_back);
+    const std::string what =
+        std::visit([](const auto& i) { return describe(i); }, r.intent);
+    IBVS_INFO("journal") << "record " << r.id << " (" << what << ") rolled "
+                         << (forward ? "forward" : "back")
+                         << ": " << r.deltas.size() << " deltas replayed";
   }
   // Rolling a topology record back (or forward past a partial mutation) can
   // change the cabling again; re-adopt so redistribution programs exactly
@@ -423,101 +460,6 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   span.set_attr("rolled_back", std::to_string(report.rolled_back));
   span.set_attr("smps", std::to_string(report.redistribution.smps));
   return report;
-}
-
-void ReconfigJournal::recover_topology(SubnetManager& sm, TopologyRecord& r,
-                                       RecoveryReport& report,
-                                       SmpRouting routing) {
-  Fabric& fabric = sm.fabric();
-  auto& transport = sm.transport();
-  const auto& graph = sm.routing_result().graph;
-  // Roll forward only when the write-ahead marks prove the mutation began
-  // AND the re-route plan was recorded. An attach additionally needs the
-  // new switch to still be programmable — a switch that died mid-attach is
-  // rolled back out of the fabric, never committed half-routed.
-  bool forward = r.mutated && !r.deltas.empty();
-  if (r.op == TopologyOp::kAttachSwitch) {
-    forward = forward && transport.hops_to(r.subject).has_value();
-  }
-  if (forward) {
-    for (const LftDelta& d : r.deltas) {
-      const routing::SwitchIdx s = graph.dense(d.switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm.update_master_entry(s, d.lid, d.new_port);
-    }
-    if (r.op == TopologyOp::kAttachSwitch && r.subject_lid.valid() &&
-        !sm.lids().assigned(r.subject_lid)) {
-      // The crash hit between the mutation and the LID assignment: finish
-      // the addressing. Directed-route PortInfo — the new switch's LID may
-      // not be installed anywhere yet.
-      sm.lids().assign(fabric, r.subject, 0, r.subject_lid);
-      transport.begin_batch();
-      transport.send_port_info_set(r.subject, 0, SmpRouting::kDirected);
-      report.address_smps += 1;
-      report.address_time_us += transport.end_batch();
-    }
-    if (r.op == TopologyOp::kDetachSwitch && r.subject_lid.valid() &&
-        sm.lids().assigned(r.subject_lid) &&
-        sm.lids().owner(r.subject_lid).node == r.subject) {
-      sm.lids().release(fabric, r.subject_lid);
-    }
-    r.state = RecordState::kCommitted;
-    r.reconciled = true;  // recovery is the only bookkeeper for these
-    ++report.rolled_forward;
-    JournalMetrics::get().replays_forward.inc();
-    IBVS_INFO("journal") << "topology record " << r.id << " ("
-                         << to_string(r.op) << ") rolled forward: "
-                         << r.deltas.size() << " deltas replayed";
-    return;
-  }
-  for (auto it = r.deltas.rbegin(); it != r.deltas.rend(); ++it) {
-    const routing::SwitchIdx s = graph.dense(it->switch_node);
-    if (s == routing::kNoSwitch) continue;
-    sm.update_master_entry(s, it->lid, it->old_port);
-  }
-  const bool adds_cables =
-      r.op == TopologyOp::kAttachSwitch || r.op == TopologyOp::kAddLink;
-  if (adds_cables) {
-    // Unplug whatever the attach managed to cable before dying; tolerate
-    // cables the mutation never reached.
-    for (const CableSpec& c : r.cables) {
-      const auto peer = fabric.peer(c.a, c.port_a);
-      if (peer && peer->first == c.b && peer->second == c.port_b) {
-        fabric.disconnect(c.a, c.port_a);
-      }
-    }
-    transport.invalidate_topology();
-    if (r.op == TopologyOp::kAttachSwitch && r.subject_lid.valid() &&
-        sm.lids().assigned(r.subject_lid) &&
-        sm.lids().owner(r.subject_lid).node == r.subject) {
-      sm.lids().release(fabric, r.subject_lid);
-    }
-  } else {
-    // Re-plug exactly what the detach severed; tolerate cables it never
-    // reached or that something else (a chaos cut) took down meanwhile.
-    for (const CableSpec& c : r.cables) {
-      if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
-        fabric.connect(c.a, c.port_a, c.b, c.port_b);
-      }
-    }
-    transport.invalidate_topology();
-    if (r.op == TopologyOp::kDetachSwitch && r.subject_lid.valid() &&
-        !sm.lids().assigned(r.subject_lid)) {
-      sm.lids().assign(fabric, r.subject, 0, r.subject_lid);
-      transport.begin_batch();
-      transport.send_port_info_set(r.subject, 0, SmpRouting::kDirected);
-      report.address_smps += 1;
-      report.address_time_us += transport.end_batch();
-    }
-  }
-  r.state = RecordState::kRolledBack;
-  r.reconciled = true;  // recovery is the only bookkeeper for these
-  ++report.rolled_back;
-  JournalMetrics::get().replays_back.inc();
-  IBVS_INFO("journal") << "topology record " << r.id << " ("
-                       << to_string(r.op) << ") rolled back: "
-                       << r.deltas.size() << " inverse deltas applied";
-  (void)routing;
 }
 
 }  // namespace ibvs::sm

@@ -1,4 +1,5 @@
-// Write-ahead reconfiguration journal for live migrations.
+// Write-ahead reconfiguration journal for live migrations and topology
+// deltas.
 //
 // The paper's migration (§V-C, Algorithm 1) rewrites LFT entries on up to n
 // switches; a master-SM death mid-batch leaves the fabric half-reconfigured
@@ -10,6 +11,9 @@
 // after an aborted batch, or a *new* master elected via SmElection — can
 // deterministically replay the in-flight record to completion or roll it
 // back, then redistribute diffs until the fabric is provably un-mixed.
+// A live topology delta (switch attach/detach, link add/remove) is the same
+// object — a write-ahead delta set plus a few identities — so both kinds
+// share one record type, one API and one recovery rule.
 //
 // Records are keyed by durable identities only (NodeId, Lid, PortNum — never
 // SwitchIdx, which is an artifact of one routing run), and replay is
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "sm/subnet_manager.hpp"
@@ -45,13 +50,12 @@ enum class RecordState : std::uint8_t {
 
 [[nodiscard]] const char* to_string(RecordState state);
 
-/// Everything a recovering SM needs to finish or undo one migration. The
-/// hypervisor/VF indices are opaque orchestrator-side tags: the SM never
+/// Durable identities of one migration or destination swap. The
+/// hypervisor indices are opaque orchestrator-side tags: the SM never
 /// interprets them, but carrying them lets the vSwitch layer reconcile its
 /// slot bookkeeping with whatever outcome recovery chose.
-struct MigrationRecord {
-  std::uint64_t id = 0;
-  std::uint32_t vm_id = 0;
+struct MigrationIntent {
+  std::uint32_t vm_id = 0;  ///< orchestrator tag
   Lid vm_lid;
   /// The second LID of the record: the destination VF's prepopulated LID
   /// for a plain migration, or the peer VM's LID when swap_pair is set.
@@ -67,20 +71,12 @@ struct MigrationRecord {
   NodeId dst_vf = kInvalidNode;
   NodeId src_pf = kInvalidNode;
   NodeId dst_pf = kInvalidNode;
-  PortNum src_vf_slot = 0;  ///< VF slot number on the source PF (SMP target)
-  PortNum dst_vf_slot = 0;
   std::size_t src_hypervisor = 0;  ///< orchestrator tag
   std::size_t dst_hypervisor = 0;  ///< orchestrator tag
-  std::size_t src_vf_index = 0;    ///< orchestrator tag
-  std::size_t dst_vf_index = 0;    ///< orchestrator tag
-  /// Write-ahead flags: set *before* the corresponding SMPs go out.
-  bool addresses_moved = false;
-  std::vector<LftDelta> deltas;  ///< the full planned LFT delta set
-  RecordState state = RecordState::kInFlight;
-  /// Set once the vSwitch layer has folded this record's outcome into its
-  /// slot bookkeeping (reconcile_with_journal), or when the record was
-  /// committed / rolled back through the normal transaction path.
-  bool reconciled = false;
+  /// VF index on its hypervisor — also the VF slot number on the PF, which
+  /// is what the VF LID/GUID SMPs address.
+  std::size_t src_vf_index = 0;
+  std::size_t dst_vf_index = 0;
 };
 
 /// Which structural change a topology record describes.
@@ -93,26 +89,45 @@ enum class TopologyOp : std::uint8_t {
 
 [[nodiscard]] const char* to_string(TopologyOp op);
 
-/// Everything a recovering SM needs to finish or undo one topology delta.
-/// Like MigrationRecord, keyed by durable identities only — the cable list
-/// carries exact endpoints so a rolled-back detach re-plugs precisely what
-/// was severed, and a rolled-back attach unplugs precisely what was added.
-struct TopologyRecord {
-  std::uint64_t id = 0;
+/// Durable identities of one topology delta. The cable list carries exact
+/// endpoints so a rolled-back detach re-plugs precisely what was severed,
+/// and a rolled-back attach unplugs precisely what was added.
+struct TopologyIntent {
   TopologyOp op = TopologyOp::kAddLink;
   /// The switch being attached or detached (kInvalidNode for link ops).
   NodeId subject = kInvalidNode;
   /// The subject switch's management LID: assigned on attach, released on
   /// detach, restored verbatim when the delta rolls back.
-  Lid subject_lid;
+  Lid subject_lid{};
   /// Cables this delta adds (attach/add_link) or removes
   /// (detach/remove_link).
   std::vector<CableSpec> cables;
-  /// Write-ahead mark: the cabling mutation is about to begin.
-  bool mutated = false;
-  std::vector<LftDelta> deltas;  ///< the full planned re-route delta set
+
+  /// Whether the delta plugs cables in (attach/add_link) or pulls them.
+  [[nodiscard]] bool adds_cables() const noexcept {
+    return op == TopologyOp::kAttachSwitch || op == TopologyOp::kAddLink;
+  }
+};
+
+using ReconfigIntent = std::variant<MigrationIntent, TopologyIntent>;
+
+/// One reconfiguration — a migration, a destination swap or a topology
+/// delta — as the journal keeps it: a common write-ahead header plus the
+/// kind's durable identities. Keyed by durable identities only (NodeId,
+/// Lid, PortNum — never SwitchIdx).
+struct ReconfigRecord {
+  std::uint64_t id = 0;
   RecordState state = RecordState::kInFlight;
+  /// Write-ahead mark, set *before* the first fabric-visible change: the
+  /// address-move SMPs of a migration, the first plug/unplug of a delta.
+  bool started = false;
+  std::vector<LftDelta> deltas;  ///< the full planned LFT delta set
+  /// Set once the record's outcome is folded into every bookkeeper: the
+  /// transaction path that committed / rolled it back, the vSwitch layer's
+  /// reconcile_with_journal for migrations recovery resolved, or recovery
+  /// itself for topology deltas (it is their only bookkeeper).
   bool reconciled = false;
+  ReconfigIntent intent;
 };
 
 /// What ReconfigJournal::recover() did to the in-flight records.
@@ -125,80 +140,78 @@ struct RecoveryReport {
   SubnetManager::ReconvergeReport redistribution;
 };
 
+/// Replays the inverse of `deltas` onto the master tables newest-first,
+/// which restores the exact bytes in place before they were applied.
+/// Deltas for switches missing from the routing graph are skipped. Returns
+/// the dense indices of the switches touched, in first-touch order — the
+/// order callers push their dirty blocks in.
+std::vector<routing::SwitchIdx> undo_deltas(
+    SubnetManager& sm, const std::vector<LftDelta>& deltas);
+
+/// Puts a migration's addresses back at the source — LID owners and vGUIDs
+/// (a swap pair's peer back at the destination) — and re-announces them
+/// with the VF LID/GUID SMPs, the reverse of §V-C step (a), priced as one
+/// batch whose makespan is added to `time_us`. Returns the SMPs sent.
+std::uint64_t restore_source_addresses(SubnetManager& sm,
+                                       const MigrationIntent& m,
+                                       SmpRouting routing, double& time_us);
+
 class ReconfigJournal {
  public:
   /// Opens a record; assigns and returns its id. State starts kInFlight.
-  std::uint64_t begin(MigrationRecord record);
+  /// Terminal records that are already reconciled are dropped first, so
+  /// the journal holds at most the in-flight records plus the resolved
+  /// ones still awaiting reconcile_with_journal().
+  std::uint64_t begin(ReconfigIntent intent);
 
-  /// Write-ahead mark: the address-migration SMPs (§V-C step a) are about
-  /// to be sent for record `id`.
-  void record_addresses_moved(std::uint64_t id);
+  /// Write-ahead mark: record `id`'s first fabric-visible change (address
+  /// SMPs of a migration, cabling of a topology delta) is about to happen.
+  void record_started(std::uint64_t id);
 
   /// Write-ahead mark: the LFT delta set for record `id`, recorded before
-  /// any swap/copy SMP goes out.
+  /// any LFT SMP goes out.
   void record_deltas(std::uint64_t id, std::vector<LftDelta> deltas);
+
+  /// Write-ahead mark: the subject's LID for topology record `id`, recorded
+  /// before the PortInfo SMP goes out (an attach learns the LID only
+  /// mid-flight).
+  void record_topology_lid(std::uint64_t id, Lid lid);
 
   void commit(std::uint64_t id);
   void roll_back(std::uint64_t id);
 
-  [[nodiscard]] MigrationRecord* find(std::uint64_t id);
-  [[nodiscard]] const MigrationRecord* find(std::uint64_t id) const;
-  [[nodiscard]] const std::vector<MigrationRecord>& records() const noexcept {
+  [[nodiscard]] ReconfigRecord* find(std::uint64_t id);
+  [[nodiscard]] const ReconfigRecord* find(std::uint64_t id) const;
+  /// Every retained record, in id order.
+  [[nodiscard]] const std::vector<ReconfigRecord>& records() const noexcept {
     return records_;
   }
   [[nodiscard]] std::size_t in_flight() const;
 
-  /// Opens a topology record; assigns and returns its id.
-  std::uint64_t begin_topology(TopologyRecord record);
-
-  /// Write-ahead mark: the cabling mutation for record `id` is about to run.
-  void record_topology_mutated(std::uint64_t id);
-
-  /// Write-ahead mark: the subject's LID for record `id`, recorded before
-  /// the PortInfo SMP goes out (an attach learns the LID only mid-flight).
-  void record_topology_lid(std::uint64_t id, Lid lid);
-
-  /// Write-ahead mark: the re-route delta set for record `id`, recorded
-  /// before any LFT SMP goes out.
-  void record_topology_deltas(std::uint64_t id, std::vector<LftDelta> deltas);
-
-  void commit_topology(std::uint64_t id);
-  void roll_back_topology(std::uint64_t id);
-
-  [[nodiscard]] TopologyRecord* find_topology(std::uint64_t id);
-  [[nodiscard]] const TopologyRecord* find_topology(std::uint64_t id) const;
-  [[nodiscard]] const std::vector<TopologyRecord>& topology_records()
-      const noexcept {
-    return topology_records_;
-  }
-
-  /// Drops terminal records the vSwitch layer has already reconciled,
-  /// bounding journal growth. Returns how many were dropped.
+  /// Drops terminal records whose outcome is reconciled. Returns how many
+  /// were dropped. begin() runs it, so callers rarely need to.
   std::size_t truncate_reconciled();
 
   /// Crash-consistent replay, run by whichever SM owns the subnet now (a
   /// standby promoted by SmElection after the master died mid-batch, or the
-  /// surviving instance after an aborted transaction). For every in-flight
-  /// record, deterministically either
-  ///   * rolls forward — addresses already moved, deltas recorded, and the
-  ///     destination PF reachable: re-apply every delta to the master
-  ///     tables and fix the LidMap/alias-GUID state, or
-  ///   * rolls back — apply the inverse deltas and restore the addresses to
-  ///     the source VF (reverse swap for prepopulated, restore-entry for
-  ///     dynamic), pricing the VF LID/GUID SMPs on the batch clock,
-  /// then redistributes master/installed diffs until convergence. No route
-  /// recomputation happens: recovery keeps the PCt-free property (§VI).
-  /// Idempotent — a second call finds nothing in flight and sends nothing.
+  /// surviving instance after an aborted transaction). Resolves every
+  /// in-flight record in id order by one rule: roll forward iff the record
+  /// started, its delta set was recorded, and the node it must reach — the
+  /// destination PF of a migration, the subject of an attach — can still be
+  /// programmed. Forward re-applies the deltas to the master tables and
+  /// finishes the addressing; back applies the inverse deltas and undoes the
+  /// address move (VF LID/GUID SMPs priced on the batch clock) or the
+  /// cabling. Then redistributes master/installed diffs until convergence.
+  /// Only a rolled-back topology delta recomputes (affected) route columns;
+  /// migrations and topology roll-forward stay PCt-free (§VI). Idempotent —
+  /// a second call finds nothing in flight and sends nothing.
   RecoveryReport recover(SubnetManager& sm, std::size_t max_rounds = 64,
                          SmpRouting routing = SmpRouting::kLidRouted);
 
  private:
-  /// Resolves one in-flight topology record against the current fabric.
-  void recover_topology(SubnetManager& sm, TopologyRecord& r,
-                        RecoveryReport& report, SmpRouting routing);
+  ReconfigRecord& in_flight_record(std::uint64_t id);
 
-  std::vector<MigrationRecord> records_;
-  std::vector<TopologyRecord> topology_records_;
+  std::vector<ReconfigRecord> records_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -107,13 +107,10 @@ const char* to_string(TopologyTxnState state) {
   return "?";
 }
 
-TopologyTxn TopologyTxnManager::open(TopologyRecord record) {
+TopologyTxn TopologyTxnManager::open(TopologyIntent intent) {
   TopologyTxn txn;
-  txn.op = record.op;
-  txn.subject = record.subject;
-  txn.subject_lid = record.subject_lid;
-  txn.cables = record.cables;
-  txn.id = journal_.begin_topology(std::move(record));
+  txn.intent = intent;
+  txn.id = journal_.begin(std::move(intent));
   TopologyMetrics::get().begun.inc();
   return txn;
 }
@@ -151,11 +148,9 @@ TopologyTxn TopologyTxnManager::begin_attach_switch(
                           "with the subject on the A side");
     }
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kAttachSwitch;
-  record.subject = sw;
-  record.cables = std::move(cables);
-  return open(std::move(record));
+  return open({.op = TopologyOp::kAttachSwitch,
+               .subject = sw,
+               .cables = std::move(cables)});
 }
 
 TopologyTxn TopologyTxnManager::begin_detach_switch(
@@ -198,14 +193,10 @@ TopologyTxn TopologyTxnManager::begin_detach_switch(
       }
     }
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kDetachSwitch;
-  record.subject = sw;
-  record.subject_lid = fabric.node(sw).lid();
-  record.cables = std::move(cables);
-  TopologyTxn txn = open(std::move(record));
-  txn.allow_orphan_endpoints = allow_orphan_endpoints;
-  return txn;
+  return open({.op = TopologyOp::kDetachSwitch,
+               .subject = sw,
+               .subject_lid = fabric.node(sw).lid(),
+               .cables = std::move(cables)});
 }
 
 TopologyTxn TopologyTxnManager::begin_add_link(CableSpec cable) {
@@ -223,10 +214,7 @@ TopologyTxn TopologyTxnManager::begin_add_link(CableSpec cable) {
                         "add_link wants two free ports on two distinct "
                         "physical switches");
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kAddLink;
-  record.cables = {cable};
-  return open(std::move(record));
+  return open({.op = TopologyOp::kAddLink, .cables = {cable}});
 }
 
 TopologyTxn TopologyTxnManager::begin_remove_link(NodeId node, PortNum port) {
@@ -248,10 +236,8 @@ TopologyTxn TopologyTxnManager::begin_remove_link(NodeId node, PortNum port) {
                         "remove_link only removes inter-switch cables "
                         "(unplugging an endpoint is a detach concern)");
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kRemoveLink;
-  record.cables = {CableSpec{node, port, peer->first, peer->second}};
-  return open(std::move(record));
+  return open({.op = TopologyOp::kRemoveLink,
+               .cables = {CableSpec{node, port, peer->first, peer->second}}});
 }
 
 void TopologyTxnManager::txn_mutate(TopologyTxn& txn) {
@@ -260,11 +246,9 @@ void TopologyTxnManager::txn_mutate(TopologyTxn& txn) {
   Fabric& fabric = sm_.fabric();
   // Write-ahead: the journal learns the mutation is starting before the
   // first plug/unplug, so a crash inside this loop still recovers.
-  journal_.record_topology_mutated(txn.id);
-  const bool adds = txn.op == TopologyOp::kAttachSwitch ||
-                    txn.op == TopologyOp::kAddLink;
-  for (const CableSpec& c : txn.cables) {
-    if (adds) {
+  journal_.record_started(txn.id);
+  for (const CableSpec& c : txn.intent.cables) {
+    if (txn.intent.adds_cables()) {
       fabric.connect(c.a, c.port_a, c.b, c.port_b);
     } else {
       fabric.disconnect(c.a, c.port_a);
@@ -278,16 +262,18 @@ void TopologyTxnManager::plan_attach(TopologyTxn& txn,
                                      std::vector<LftDelta>& planned) const {
   const auto& routing = sm_.routing_result();
   const auto& g = routing.graph;
-  const routing::SwitchIdx me = g.dense(txn.subject);
+  const NodeId subject = txn.intent.subject;
+  const Lid subject_lid = txn.intent.subject_lid;
+  const routing::SwitchIdx me = g.dense(subject);
   IBVS_ENSURE(me != routing::kNoSwitch, "attach subject missing from graph");
   const auto hops = routing::switch_hop_matrix(g);
   // 1) Every other switch learns the route toward the new switch's LID.
   for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
     if (s == me) continue;
-    const PortNum old_port = routing.lfts[s].get(txn.subject_lid);
+    const PortNum old_port = routing.lfts[s].get(subject_lid);
     const PortNum new_port = repair_port_toward(g, hops, s, me);
     if (old_port != new_port) {
-      planned.push_back({g.switches[s], txn.subject_lid, old_port, new_port});
+      planned.push_back({g.switches[s], subject_lid, old_port, new_port});
     }
   }
   // 2) The new switch's own table: one entry per routable LID (its master
@@ -298,7 +284,7 @@ void TopologyTxnManager::plan_attach(TopologyTxn& txn,
                                  : repair_port_toward(g, hops, me, target.sw);
     const PortNum old_port = routing.lfts[me].get(target.lid);
     if (old_port != new_port) {
-      planned.push_back({txn.subject, target.lid, old_port, new_port});
+      planned.push_back({subject, target.lid, old_port, new_port});
     }
   }
 }
@@ -308,7 +294,8 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
   const Fabric& fabric = sm_.fabric();
   const auto& routing = sm_.routing_result();
   const auto& g = routing.graph;
-  const routing::SwitchIdx me = g.dense(txn.subject);
+  const TopologyIntent& intent = txn.intent;
+  const routing::SwitchIdx me = g.dense(intent.subject);
   IBVS_ENSURE(me != routing::kNoSwitch, "detach subject missing from graph");
   const auto hops = routing::switch_hop_matrix(g);
 
@@ -317,8 +304,8 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
   // only place that wiring still exists.
   std::vector<Lid> affected;
   for (const Lid lid : sm_.lids().assigned_lids()) {
-    if (lid == txn.subject_lid) continue;  // handled by the cleanup below
-    for (const CableSpec& c : txn.cables) {
+    if (lid == intent.subject_lid) continue;  // handled by the cleanup below
+    for (const CableSpec& c : intent.cables) {
       const routing::SwitchIdx nb = g.dense(c.b);
       if (nb == routing::kNoSwitch) continue;
       if (routing.lfts[nb].get(lid) == c.port_b) {
@@ -353,12 +340,12 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
 
   // Scrub the released management LID everywhere so a later reassignment of
   // the same value cannot inherit routes into the severed switch.
-  if (txn.subject_lid.valid()) {
+  if (intent.subject_lid.valid()) {
     for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
       if (s == me) continue;
-      const PortNum old_port = routing.lfts[s].get(txn.subject_lid);
+      const PortNum old_port = routing.lfts[s].get(intent.subject_lid);
       if (old_port != kDropPort) {
-        planned.push_back({g.switches[s], txn.subject_lid, old_port,
+        planned.push_back({g.switches[s], intent.subject_lid, old_port,
                            kDropPort});
       }
     }
@@ -371,7 +358,7 @@ void TopologyTxnManager::plan_remove_link(
   const Fabric& fabric = sm_.fabric();
   const auto& routing = sm_.routing_result();
   const auto& g = routing.graph;
-  const CableSpec& cable = txn.cables.front();
+  const CableSpec& cable = txn.intent.cables.front();
   const routing::SwitchIdx sa = g.dense(cable.a);
   const routing::SwitchIdx sb = g.dense(cable.b);
   IBVS_ENSURE(sa != routing::kNoSwitch && sb != routing::kNoSwitch,
@@ -446,7 +433,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
   IBVS_REQUIRE(txn.state == TopologyTxnState::kMutated,
                "mutate the topology before rerouting");
   auto span = telemetry::Tracer::global().span(
-      "topology.reroute", {{"op", std::string(to_string(txn.op))}});
+      "topology.reroute", {{"op", std::string(to_string(txn.intent.op))}});
   Fabric& fabric = sm_.fabric();
   auto& transport = sm_.transport();
   // Adopt the mutated structure without a routing run: dense indices are
@@ -455,32 +442,32 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
   sm_.adopt_topology_change();
 
   std::vector<LftDelta> planned;
-  if (txn.op == TopologyOp::kAttachSwitch) {
-    if (!transport.hops_to(txn.subject)) {
+  if (txn.intent.op == TopologyOp::kAttachSwitch) {
+    if (!transport.hops_to(txn.intent.subject)) {
       throw TopologyError(TopologyErrc::kRerouteFailed,
-                          fabric.node(txn.subject).name +
+                          fabric.node(txn.intent.subject).name +
                               " unreachable after attach cabling");
     }
     // Address the new switch. The LID value reaches the journal before the
     // PortInfo SMP leaves the SM.
-    const Lid lid = sm_.lids().assign_next(fabric, txn.subject, 0);
+    const Lid lid = sm_.lids().assign_next(fabric, txn.intent.subject, 0);
     journal_.record_topology_lid(txn.id, lid);
-    txn.subject_lid = lid;
+    txn.intent.subject_lid = lid;
     txn.lid_assigned = true;
     sm_.refresh_targets();
     transport.begin_batch();
-    transport.send_port_info_set(txn.subject, 0, SmpRouting::kDirected);
+    transport.send_port_info_set(txn.intent.subject, 0, SmpRouting::kDirected);
     txn.stats.addressing_smps += 1;
     txn.stats.apply_time_us += transport.end_batch();
-  } else if (txn.op == TopologyOp::kDetachSwitch ||
-             txn.op == TopologyOp::kRemoveLink) {
+  } else if (txn.intent.op == TopologyOp::kDetachSwitch ||
+             txn.intent.op == TopologyOp::kRemoveLink) {
     // A severed component always contains an ex-neighbor of the cut, so
     // checking the recorded cable ends proves nobody else was disconnected.
     // (Skyline tolerates legitimately-dark switches, so without this guard
     // a bridge removal would *commit* with unreachable LIDs.)
-    for (const CableSpec& c : txn.cables) {
+    for (const CableSpec& c : txn.intent.cables) {
       for (const NodeId end : {c.a, c.b}) {
-        if (end == txn.subject) continue;
+        if (end == txn.intent.subject) continue;
         if (fabric.node(end).is_physical_switch() && !transport.hops_to(end)) {
           throw TopologyError(TopologyErrc::kRerouteFailed,
                               fabric.node(end).name +
@@ -489,16 +476,17 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
         }
       }
     }
-    if (txn.op == TopologyOp::kDetachSwitch && txn.subject_lid.valid() &&
-        sm_.lids().owner(txn.subject_lid).node == txn.subject) {
-      sm_.lids().release(fabric, txn.subject_lid);
+    const TopologyIntent& intent = txn.intent;
+    if (intent.op == TopologyOp::kDetachSwitch && intent.subject_lid.valid() &&
+        sm_.lids().owner(intent.subject_lid).node == intent.subject) {
+      sm_.lids().release(fabric, intent.subject_lid);
       txn.lid_released = true;
       sm_.refresh_targets();
     }
   }
 
   try {
-    switch (txn.op) {
+    switch (txn.intent.op) {
       case TopologyOp::kAttachSwitch:
         plan_attach(txn, planned);
         txn.stats.lids_rerouted = 1 + sm_.routing_result().graph.targets.size();
@@ -534,7 +522,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
                      });
     // Write-ahead: the full planned delta set reaches the journal before
     // the first LFT SMP goes out.
-    journal_.record_topology_deltas(txn.id, planned);
+    journal_.record_deltas(txn.id, planned);
     apply_planned(txn, planned, opts);
   }
 
@@ -555,17 +543,15 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
 void TopologyTxnManager::txn_commit(TopologyTxn& txn) {
   IBVS_REQUIRE(txn.state == TopologyTxnState::kRerouted,
                "reroute before committing");
-  journal_.commit_topology(txn.id);
-  if (auto* record = journal_.find_topology(txn.id)) {
-    record->reconciled = true;
-  }
+  journal_.commit(txn.id);
+  journal_.find(txn.id)->reconciled = true;
   txn.state = TopologyTxnState::kCommitted;
   auto& metrics = TopologyMetrics::get();
   metrics.committed.inc();
   metrics.delta_smps.observe(static_cast<double>(
       txn.stats.lft_smps + txn.stats.addressing_smps +
       txn.stats.verify.smps));
-  IBVS_INFO("topology") << to_string(txn.op) << " committed: "
+  IBVS_INFO("topology") << to_string(txn.intent.op) << " committed: "
                         << txn.stats.switches_updated << "/"
                         << txn.stats.switches_total << " switches, "
                         << txn.stats.lft_smps << " LFT SMPs";
@@ -577,26 +563,20 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   auto& transport = sm_.transport();
   const auto& routing = sm_.routing_result();
   const auto& g = routing.graph;
-  const routing::SwitchIdx me =
-      txn.subject != kInvalidNode ? g.dense(txn.subject) : routing::kNoSwitch;
+  const TopologyIntent& intent = txn.intent;
+  const routing::SwitchIdx me = intent.subject != kInvalidNode
+                                    ? g.dense(intent.subject)
+                                    : routing::kNoSwitch;
 
   // Inverse deltas newest-first: undoing in reverse restores the exact
   // pre-transaction master bytes.
   if (!txn.applied.empty()) {
-    std::vector<routing::SwitchIdx> touched;
-    for (auto it = txn.applied.rbegin(); it != txn.applied.rend(); ++it) {
-      const routing::SwitchIdx s = g.dense(it->switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm_.update_master_entry(s, it->lid, it->old_port);
-      if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
-        touched.push_back(s);
-      }
-    }
+    const auto touched = undo_deltas(sm_, txn.applied);
     transport.begin_batch();
     for (const routing::SwitchIdx s : touched) {
       // The attach subject is about to be unplugged again: restore its
       // master entries but waste no SMPs programming it.
-      if (s == me && txn.op == TopologyOp::kAttachSwitch) continue;
+      if (s == me && intent.op == TopologyOp::kAttachSwitch) continue;
       if (!transport.hops_to(g.switches[s])) continue;
       txn.rollback_smps += sm_.push_dirty_blocks(s, SmpRouting::kDirected);
     }
@@ -608,10 +588,8 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   // already changed.
   if (txn.state == TopologyTxnState::kMutated ||
       txn.state == TopologyTxnState::kRerouted) {
-    const bool added = txn.op == TopologyOp::kAttachSwitch ||
-                       txn.op == TopologyOp::kAddLink;
-    for (const CableSpec& c : txn.cables) {
-      if (added) {
+    for (const CableSpec& c : intent.cables) {
+      if (intent.adds_cables()) {
         const auto peer = fabric.peer(c.a, c.port_a);
         if (peer && peer->first == c.b && peer->second == c.port_b) {
           fabric.disconnect(c.a, c.port_a);
@@ -624,17 +602,17 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   }
 
   // Restore the subject's addressing.
-  if (txn.lid_assigned && txn.subject_lid.valid() &&
-      sm_.lids().owner(txn.subject_lid).node == txn.subject) {
-    sm_.lids().release(fabric, txn.subject_lid);
+  if (txn.lid_assigned && intent.subject_lid.valid() &&
+      sm_.lids().owner(intent.subject_lid).node == intent.subject) {
+    sm_.lids().release(fabric, intent.subject_lid);
     sm_.refresh_targets();
   }
-  if (txn.lid_released && txn.subject_lid.valid() &&
-      !sm_.lids().assigned(txn.subject_lid)) {
-    sm_.lids().assign(fabric, txn.subject, 0, txn.subject_lid);
+  if (txn.lid_released && intent.subject_lid.valid() &&
+      !sm_.lids().assigned(intent.subject_lid)) {
+    sm_.lids().assign(fabric, intent.subject, 0, intent.subject_lid);
     sm_.refresh_targets();
     transport.begin_batch();
-    transport.send_port_info_set(txn.subject, 0, SmpRouting::kDirected);
+    transport.send_port_info_set(intent.subject, 0, SmpRouting::kDirected);
     txn.rollback_smps += 1;
     txn.rollback_time_us += transport.end_batch();
   }
@@ -646,13 +624,11 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   txn.rollback_time_us += settle.time_us;
   sm_.bump_generation();
 
-  journal_.roll_back_topology(txn.id);
-  if (auto* record = journal_.find_topology(txn.id)) {
-    record->reconciled = true;
-  }
+  journal_.roll_back(txn.id);
+  journal_.find(txn.id)->reconciled = true;
   txn.state = TopologyTxnState::kRolledBack;
   TopologyMetrics::get().rolled_back.inc();
-  IBVS_INFO("topology") << to_string(txn.op) << " rolled back: "
+  IBVS_INFO("topology") << to_string(intent.op) << " rolled back: "
                         << txn.rollback_smps << " SMPs to undo";
 }
 

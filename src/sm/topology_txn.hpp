@@ -88,12 +88,8 @@ struct TopologyTxnStats {
 /// value in place immediately before the write) so rollback can restore the
 /// exact prior bytes by replaying inverses newest-first.
 struct TopologyTxn {
-  std::uint64_t id = 0;  ///< journal record id
-  TopologyOp op = TopologyOp::kAddLink;
-  NodeId subject = kInvalidNode;
-  Lid subject_lid;
-  std::vector<CableSpec> cables;
-  bool allow_orphan_endpoints = false;
+  std::uint64_t id = 0;   ///< journal record id
+  TopologyIntent intent;  ///< the identities the journal record holds
   TopologyTxnState state = TopologyTxnState::kPrepared;
   bool lid_assigned = false;  ///< attach assigned subject_lid in reroute
   bool lid_released = false;  ///< detach released subject_lid in reroute
@@ -172,7 +168,7 @@ class TopologyTxnManager {
                           const TopologyApplyOptions& opts = {});
 
  private:
-  TopologyTxn open(TopologyRecord record);
+  TopologyTxn open(TopologyIntent intent);
   void run(TopologyTxn& txn, const TopologyApplyOptions& opts);
   void plan_attach(TopologyTxn& txn, std::vector<LftDelta>& planned) const;
   void plan_detach(TopologyTxn& txn, std::vector<LftDelta>& planned) const;

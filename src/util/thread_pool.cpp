@@ -49,33 +49,17 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, size() * 4);
-  if (chunks <= 1) {
-    body(begin, end);
-    return;
-  }
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
-
+void ThreadPool::run_tasks(std::size_t count,
+                           const std::function<void(std::size_t)>& task) {
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::size_t pending = 0;
+  std::size_t pending = count;
   std::exception_ptr first_error;
 
-  for (std::size_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += chunk_size) {
-    const std::size_t chunk_end = std::min(end, chunk_begin + chunk_size);
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      ++pending;
-    }
-    submit([&, chunk_begin, chunk_end] {
+  for (std::size_t i = 0; i < count; ++i) {
+    submit([&, i] {
       try {
-        body(chunk_begin, chunk_end);
+        task(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(done_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -96,6 +80,23 @@ void ThreadPool::parallel_for_chunks(
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ThreadPool::parallel_for_chunks(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (begin >= end) return;
+  const std::size_t total = end - begin;
+  const std::size_t chunks = std::min(total, size() * 4);
+  if (chunks <= 1) {
+    body(begin, end);
+    return;
+  }
+  const std::size_t chunk_size = (total + chunks - 1) / chunks;
+  run_tasks((total + chunk_size - 1) / chunk_size, [&](std::size_t chunk) {
+    const std::size_t chunk_begin = begin + chunk * chunk_size;
+    body(chunk_begin, std::min(end, chunk_begin + chunk_size));
+  });
+}
+
 void ThreadPool::parallel_for_shards(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
@@ -110,40 +111,11 @@ void ThreadPool::parallel_for_shards(
   // so shard sizes differ by at most one.
   const std::size_t base = total / shards;
   const std::size_t extra = total % shards;
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t pending = 0;
-  std::exception_ptr first_error;
-
-  std::size_t at = begin;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t shard_begin = at;
-    const std::size_t shard_end = shard_begin + base + (shard < extra ? 1 : 0);
-    at = shard_end;
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      ++pending;
-    }
-    submit([&, shard, shard_begin, shard_end] {
-      try {
-        body(shard, shard_begin, shard_end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      {
-        // Notify under the lock (see parallel_for_chunks).
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --pending;
-        done_cv.notify_one();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return pending == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+  run_tasks(shards, [&](std::size_t shard) {
+    const std::size_t shard_begin =
+        begin + shard * base + std::min(shard, extra);
+    body(shard, shard_begin, shard_begin + base + (shard < extra ? 1 : 0));
+  });
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

@@ -78,6 +78,11 @@ class ThreadPool {
  private:
   void submit(std::function<void()> task);
   void worker_loop();
+  /// Submits task(0) .. task(count - 1) and blocks until all finished;
+  /// the first exception thrown propagates. The fan-out APIs differ only
+  /// in how they map a task index to a range.
+  void run_tasks(std::size_t count,
+                 const std::function<void(std::size_t)>& task);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

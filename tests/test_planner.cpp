@@ -389,7 +389,7 @@ TEST(PlanExecutor, MidPlanFaultRollsBackAloneAndStaysConsistent) {
   bool killed = false;
   policy.txn.on_step = [&](core::TxnState state, const core::MigrationTxn& t) {
     if (killed || state != core::TxnState::kCopied) return;
-    if (t.dst_hypervisor != victim_dst) return;
+    if (t.intent.dst_hypervisor != victim_dst) return;
     injector.kill_node(s.hyps[victim_dst].vswitch);
     killed = true;
   };
