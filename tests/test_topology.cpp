@@ -19,6 +19,13 @@ struct PaperShape {
   std::size_t switches;
 };
 
+/// Prints the fields rather than the raw bytes: gtest's default dump includes
+/// the uninitialised padding after `which`, so the registered test names
+/// would differ from one run to the next.
+void PrintTo(const PaperShape& shape, std::ostream* os) {
+  *os << "{nodes=" << shape.nodes << ", switches=" << shape.switches << "}";
+}
+
 class PaperTreeTest : public ::testing::TestWithParam<PaperShape> {};
 
 TEST_P(PaperTreeTest, MatchesTableI) {
